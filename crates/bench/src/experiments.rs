@@ -817,8 +817,8 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
 
 /// Extension: replacement-scorer comparison at the design point
 /// (64-entry, 2-way, filtered round-robin indexing). `expected-hit-count`
-/// is the first policy added through the [`ubrc_core::ReplacementScorer`]
-/// trait seam: identical to use-based fewest-remaining-uses except that
+/// is the first policy added as a [`ubrc_core::ReplacementPolicy`]
+/// variant: identical to use-based fewest-remaining-uses except that
 /// fill-installed entries are floored at one expected hit — the miss
 /// that forced the fill is evidence the degree prediction undercounted
 /// (after Vakil Ghahani et al., "Making Belady-Inspired Replacement
@@ -1099,18 +1099,19 @@ pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
     Ok(t)
 }
 
-/// Tentpole extension: UMON-guided dynamic *way* partitioning on the
-/// `PartitionController` seam. The [`smt4`] matrix re-runs at 64
-/// entries x 8 ways — wide enough that four threads start with two
-/// ways each and the lookahead partitioner has whole ways to move —
-/// comparing the static split (`way-partition`), entry-granular
-/// dynamic quotas (`dynamic-cap`), way-granular reassignment
-/// (`dynamic-way`, epoch 128), and the same controller under adaptive
-/// epoch pacing (`dynamic-way adaptive`, epochs stretch 32..512 when
-/// consecutive repartitions agree). Way reassignment keeps the
-/// hard-isolation property of `WayPartition` (no set ever mixes
-/// threads) while tracking phase behavior, so its row should land
-/// between `dynamic-cap` and the static split's isolation tax.
+/// Tentpole extension: UMON-guided dynamic *way* partitioning, the
+/// [`ubrc_core::PartitionController::DynamicWay`] variant. The
+/// [`smt4`] matrix re-runs at 64 entries x 8 ways — wide enough that
+/// four threads start with two ways each and the lookahead partitioner
+/// has whole ways to move — comparing the static split
+/// (`way-partition`), entry-granular dynamic quotas (`dynamic-cap`),
+/// way-granular reassignment (`dynamic-way`, epoch 128), and the same
+/// controller under adaptive epoch pacing (`dynamic-way adaptive`,
+/// epochs stretch 32..512 when consecutive repartitions agree). Way
+/// reassignment keeps the hard-isolation property of `WayPartition` (no
+/// set ever mixes threads) while tracking phase behavior, so its row
+/// should land between `dynamic-cap` and the static split's isolation
+/// tax.
 pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
     use ubrc_core::EpochAdapt;
     let adapt = Some(EpochAdapt {

@@ -370,7 +370,7 @@ fn group_label(names: &[&str]) -> &'static str {
     if let Some(&s) = map.get(&key) {
         return s;
     }
-    let leaked: &'static str = Box::leak(key.clone().into_boxed_str());
+    let leaked: &'static str = key.clone().leak();
     map.insert(key, leaked);
     leaked
 }

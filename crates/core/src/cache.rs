@@ -1,8 +1,7 @@
 use crate::monitor::UtilityMonitor;
-use crate::partition::{AnyController, EpochContext, EpochPlan};
+use crate::partition::{EpochContext, EpochPlan, PartitionController};
 use crate::policy::{
-    AnyInsertion, AnyScorer, CachePartition, EpochFeedback, InsertionContext, RegCacheConfig,
-    VictimView,
+    CachePartition, EpochFeedback, InsertionContext, InsertionDecider, RegCacheConfig, VictimView,
 };
 use crate::PhysReg;
 use ubrc_stats::TimeWeighted;
@@ -247,16 +246,13 @@ pub struct RegisterCache {
     nthreads: usize,
     preg_quota: usize,
     thread_valid: Vec<usize>,
-    // The behavioral halves of `config.insertion` / `config.replacement`,
-    // instantiated once at construction (see `ubrc_core::policy`).
-    // Statically dispatched: the shipped policies resolve without a
-    // virtual call on the read/write hot paths.
-    insertion: AnyInsertion,
-    replacement: AnyScorer,
-    // The behavioral half of `config.partition` (see
-    // `ubrc_core::partition`): consulted at insertion for admission and
-    // victim ways, and at epoch boundaries for quota/way replanning.
-    partition: AnyController,
+    // The runtime halves of `config.insertion` and `config.partition`
+    // (replacement is stateless: `config.replacement` scores victims
+    // directly). The partition controller is consulted at insertion for
+    // admission and victim ways, and at epoch boundaries for quota/way
+    // replanning.
+    insertion: InsertionDecider,
+    partition: PartitionController,
     // Dynamic repartitioning (a dynamic `config.partition`, nthreads >
     // 1): the shadow-tag monitors feeding the partitioner and the
     // cumulative hit/miss marks of the previous epoch boundary (for
@@ -285,10 +281,17 @@ impl RegisterCache {
     /// # Panics
     ///
     /// Panics on inconsistent geometry, `num_pregs` not divisible by
-    /// `nthreads`, or an infeasible [`RegCacheConfig::partition`] /
-    /// [`RegCacheConfig::epoch_adapt`] combination (see
-    /// [`crate::controller_for`]). Callers wanting typed errors should
-    /// validate first (the simulator's `try_new_smt` does).
+    /// `nthreads`, or (with more than one thread) an infeasible
+    /// [`RegCacheConfig::partition`] / [`RegCacheConfig::epoch_adapt`]
+    /// combination: a [`CachePartition::WayPartition`] or
+    /// [`CachePartition::DynamicWay`] whose ways don't divide by the
+    /// thread count, an occupancy-capped partition with fewer entries
+    /// than threads, a zero dynamic epoch, a
+    /// [`CachePartition::DynamicCap`] `min_cap` that overcommits the
+    /// cache, or an [`EpochAdapt`](crate::EpochAdapt) with an empty
+    /// `[min, max]` range or a static partition. Callers wanting typed
+    /// errors should validate first (the simulator's `try_new_smt`
+    /// does).
     pub fn new_smt(config: RegCacheConfig, num_pregs: usize, nthreads: usize) -> Self {
         let sets = config.sets();
         assert!(nthreads >= 1, "nthreads must be at least 1");
@@ -296,7 +299,7 @@ impl RegisterCache {
             num_pregs.is_multiple_of(nthreads),
             "num_pregs must divide evenly across threads"
         );
-        let partition = AnyController::from_config(&config, nthreads);
+        let partition = PartitionController::new(&config, nthreads);
         let shadow = config.classify_misses.then(|| {
             // The shadow is the fully-associative *shared* baseline: it
             // classifies misses, it does not model partitioning.
@@ -328,8 +331,7 @@ impl RegisterCache {
             nthreads,
             preg_quota: num_pregs / nthreads,
             thread_valid: vec![0; nthreads],
-            insertion: AnyInsertion::from_policy(config.insertion),
-            replacement: AnyScorer::from_policy(config.replacement),
+            insertion: InsertionDecider::new(config.insertion),
             partition,
             monitor: dynamic.then(|| UtilityMonitor::new(config.entries, nthreads)),
             epoch_hits: vec![0; if dynamic { nthreads } else { 0 }],
@@ -348,89 +350,21 @@ impl RegisterCache {
         self.nthreads
     }
 
-    /// Replaces the insertion policy with a caller-supplied decider,
-    /// routed through the [`AnyInsertion::Custom`] escape hatch — the
-    /// dynamic-dispatch path every external
-    /// [`InsertionDecider`](crate::InsertionDecider) implementation
-    /// takes. The shipped policies reach the same decision logic
-    /// through monomorphic enum variants instead.
-    pub fn set_insertion(&mut self, decider: Box<dyn crate::InsertionDecider>) {
-        self.insertion = decider.into();
-    }
-
-    /// Replaces the replacement scorer via the [`AnyScorer::Custom`]
-    /// escape hatch; see [`RegisterCache::set_insertion`].
-    pub fn set_replacement(&mut self, scorer: Box<dyn crate::ReplacementScorer>) {
-        self.replacement = scorer.into();
-    }
-
-    /// Replaces the partition controller via the
-    /// [`AnyController::Custom`] escape hatch; see
-    /// [`RegisterCache::set_insertion`]. The controller must agree with
-    /// [`RegCacheConfig::partition`] on feasibility (way counts,
-    /// quotas) for the cache's occupancy accounting to stay coherent.
-    pub fn set_partition(&mut self, controller: Box<dyn crate::PartitionController>) {
-        self.partition = controller.into();
-    }
-
     /// Live entries owned by `tid`.
     pub fn thread_occupancy(&self, tid: usize) -> usize {
         self.thread_valid[tid]
     }
 
-    /// The per-thread live-entry cap, when [`CachePartition::OccupancyCap`]
-    /// is active (`None` otherwise).
-    pub fn occupancy_cap(&self) -> Option<usize> {
-        (self.nthreads > 1 && self.config.partition == CachePartition::OccupancyCap)
-            .then(|| self.config.entries / self.nthreads)
-    }
-
-    /// Ways of each set owned by one thread, when
-    /// [`CachePartition::WayPartition`] is active (`None` otherwise).
-    pub fn ways_per_thread(&self) -> Option<usize> {
-        (self.nthreads > 1 && self.config.partition == CachePartition::WayPartition)
-            .then(|| self.config.ways / self.nthreads)
-    }
-
-    /// The live-entry cap currently binding thread `tid`, under either
-    /// occupancy-capped partition: the static `entries / nthreads`
-    /// quota of [`CachePartition::OccupancyCap`], or the current
-    /// dynamic quota of [`CachePartition::DynamicCap`]. `None` when no
-    /// per-thread cap applies (shared or way-partitioned caches, or a
-    /// single thread).
-    pub fn current_cap(&self, tid: usize) -> Option<usize> {
-        self.partition.cap(tid)
-    }
-
-    /// The per-thread quotas currently in force under
-    /// [`CachePartition::DynamicCap`] (`None` otherwise). The slice
-    /// always sums to the cache's total entry count.
-    pub fn dynamic_caps(&self) -> Option<&[usize]> {
-        self.partition.caps()
-    }
-
-    /// The per-thread way counts currently in force under
-    /// [`CachePartition::DynamicWay`] (`None` otherwise). The slice
-    /// always sums to the cache's associativity, laid out as contiguous
-    /// blocks in thread order.
-    pub fn way_counts(&self) -> Option<&[usize]> {
-        self.partition.way_counts()
-    }
-
-    /// The thread owning `way` of every set, when ways are owned at all
-    /// ([`CachePartition::WayPartition`] and
-    /// [`CachePartition::DynamicWay`]; `None` otherwise).
-    pub fn way_owner(&self, way: usize) -> Option<usize> {
-        self.partition.way_owner(way)
-    }
-
-    /// The configured repartition period, when a dynamic partition
-    /// ([`CachePartition::DynamicCap`] or [`CachePartition::DynamicWay`])
-    /// is active on a multi-thread cache (`None` otherwise). Under
-    /// [`EpochAdapt`](crate::EpochAdapt) the *live* period varies; gate the
-    /// epoch stage on [`RegisterCache::epoch_due`] instead.
-    pub fn epoch_cycles(&self) -> Option<u64> {
-        self.partition.epoch_cycles()
+    /// The SMT partition controller, read-only: its
+    /// [`cap`](PartitionController::cap),
+    /// [`caps`](PartitionController::caps),
+    /// [`way_counts`](PartitionController::way_counts) and
+    /// [`way_owner`](PartitionController::way_owner) report the quotas
+    /// and way ownership in force right now (as of the last epoch
+    /// boundary under a dynamic partition). Always
+    /// [`PartitionController::Shared`] on a single-thread cache.
+    pub fn partition(&self) -> &PartitionController {
+        &self.partition
     }
 
     /// True when a dynamic-partition epoch boundary must fire at cycle
@@ -510,10 +444,10 @@ impl RegisterCache {
     /// Picks the way (relative to the set base) holding the minimum
     /// replacement score among `candidates`.
     fn min_score_way(&self, candidates: impl Iterator<Item = usize>, base: usize) -> Option<usize> {
-        let scorer = &self.replacement;
+        let policy = self.config.replacement;
         candidates.min_by_key(|&i| {
             let e = &self.entries[base + i];
-            scorer.score(&VictimView {
+            policy.score(&VictimView {
                 uses: e.uses,
                 pinned: e.pinned,
                 from_fill: e.from_fill,
@@ -544,7 +478,7 @@ impl RegisterCache {
         let victim_idx = if self.partition.admit(tid, &self.thread_valid) {
             // Admitted: fill an invalid way of the controller's victim
             // range, else evict its minimum-score entry.
-            let range = self.partition.victim_ways(tid);
+            let range = self.partition.victim_ways(tid, w);
             let slice = &self.entries[base..base + w];
             match range.clone().find(|&i| !slice[i].valid) {
                 Some(i) => i,
@@ -587,12 +521,10 @@ impl RegisterCache {
             }
             self.close_entry(victim, now);
             self.thread_valid[victim.tid as usize] -= 1;
-            self.partition.on_evict(victim.tid as usize);
         } else {
             self.valid_count += 1;
         }
         self.thread_valid[tid] += 1;
-        self.partition.on_insert(tid);
         self.per_preg[preg.0 as usize].ever_cached = true;
         self.stats.cached_events += 1;
         self.note_occupancy(now);
@@ -778,7 +710,6 @@ impl RegisterCache {
             self.entries[i].valid = false;
             self.valid_count -= 1;
             self.thread_valid[e.tid as usize] -= 1;
-            self.partition.on_evict(e.tid as usize);
             self.close_entry(e, now);
             self.note_occupancy(now);
         }
@@ -889,7 +820,7 @@ impl RegisterCache {
             ));
         }
         for (t, &v) in self.thread_valid.iter().enumerate() {
-            if let Some(cap) = self.current_cap(t) {
+            if let Some(cap) = self.partition.cap(t) {
                 if v > cap {
                     return Err(format!(
                         "thread {t} holds {v} entries, above its occupancy cap {cap}"
@@ -980,7 +911,6 @@ impl RegisterCache {
         self.entries[i].valid = false;
         self.valid_count -= 1;
         self.thread_valid[e.tid as usize] -= 1;
-        self.partition.on_evict(e.tid as usize);
         self.close_entry(e, now);
         self.stats.parity_invalidations += 1;
         self.note_occupancy(now);
@@ -1003,16 +933,17 @@ impl RegisterCache {
 
     /// Runs one dynamic-partition epoch boundary at cycle `now`:
     /// snapshots per-thread hit/miss deltas since the previous boundary,
-    /// asks the [`PartitionController`](crate::PartitionController) for a new plan computed from the
+    /// asks the [`PartitionController`] for a new plan computed from the
     /// lookahead utility partitioner (see [`crate::monitor`]), enforces
     /// it — under [`CachePartition::DynamicCap`] by trimming each
     /// over-quota thread down to its new cap (evicting its own *unpinned*
     /// entries, lowest replacement score first — the same victims an
     /// at-cap insert would pick); under [`CachePartition::DynamicWay`]
     /// by draining reassigned ways (see
-    /// `RegisterCache::reassign_ways`) — ages the monitors, and
-    /// broadcasts the resulting [`EpochFeedback`] to the insertion and
-    /// replacement policies' `on_epoch` hooks.
+    /// `RegisterCache::reassign_ways`) — ages the monitors, and hands
+    /// the resulting [`EpochFeedback`] to the insertion policy (only
+    /// [`InsertionPolicy::AdaptiveUseThreshold`](crate::InsertionPolicy::AdaptiveUseThreshold)
+    /// retunes from it) before returning it.
     ///
     /// Quota floors guarantee feasibility: every thread keeps at least
     /// `max(1, pinned entries)` (under `DynamicCap`, raised toward the
@@ -1076,11 +1007,7 @@ impl RegisterCache {
             ways: w,
             sets: self.sets,
         };
-        let plan = self
-            .partition
-            .epoch_boundary(&cx)
-            .expect("dynamic controllers plan every boundary");
-        let (new_caps, new_ways) = match plan {
+        let (new_caps, new_ways) = match self.partition.epoch_boundary(&cx) {
             EpochPlan::Caps(caps) => {
                 for (t, &cap) in caps.iter().enumerate().take(n) {
                     while self.thread_valid[t] > cap {
@@ -1090,7 +1017,7 @@ impl RegisterCache {
                             .enumerate()
                             .filter(|(_, e)| e.valid && e.tid as usize == t && !e.pinned)
                             .min_by_key(|(_, e)| {
-                                self.replacement.score(&VictimView {
+                                self.config.replacement.score(&VictimView {
                                     uses: e.uses,
                                     pinned: e.pinned,
                                     from_fill: e.from_fill,
@@ -1104,7 +1031,6 @@ impl RegisterCache {
                         self.entries[victim].valid = false;
                         self.valid_count -= 1;
                         self.thread_valid[t] -= 1;
-                        self.partition.on_evict(t);
                         self.stats.evictions += 1;
                         if e.uses == 0 && !e.pinned {
                             self.stats.evictions_zero_use += 1;
@@ -1138,7 +1064,6 @@ impl RegisterCache {
             new_ways,
         };
         self.insertion.on_epoch(&fb);
-        self.replacement.on_epoch(&fb);
         fb
     }
 
@@ -1177,7 +1102,6 @@ impl RegisterCache {
                 self.entries[base + i].valid = false;
                 self.valid_count -= 1;
                 self.thread_valid[e.tid as usize] -= 1;
-                self.partition.on_evict(e.tid as usize);
                 if e.pinned {
                     migrants.push((s, e));
                 } else {
@@ -1193,7 +1117,7 @@ impl RegisterCache {
         for (s, e) in migrants {
             let base = s * w;
             let tid = e.tid as usize;
-            let range = self.partition.victim_ways(tid);
+            let range = self.partition.victim_ways(tid, w);
             let slot = match range.clone().find(|&i| !self.entries[base + i].valid) {
                 Some(i) => i,
                 None => {
@@ -1209,14 +1133,12 @@ impl RegisterCache {
                     self.close_entry(v, now);
                     self.valid_count -= 1;
                     self.thread_valid[v.tid as usize] -= 1;
-                    self.partition.on_evict(v.tid as usize);
                     i
                 }
             };
             self.entries[base + slot] = e;
             self.valid_count += 1;
             self.thread_valid[tid] += 1;
-            self.partition.on_insert(tid);
         }
     }
 }
@@ -1717,9 +1639,9 @@ mod tests {
         // 8 entries, 2 threads: initial quotas are the OccupancyCap
         // split [4, 4], binding until the first epoch boundary.
         let mut c = dyncap(8, 2);
-        assert_eq!(c.dynamic_caps(), Some(&[4usize, 4][..]));
-        assert_eq!(c.current_cap(0), Some(4));
-        assert_eq!(c.epoch_cycles(), Some(64));
+        assert_eq!(c.partition().caps(), Some(&[4usize, 4][..]));
+        assert_eq!(c.partition().cap(0), Some(4));
+        assert!(c.epoch_due(64));
         for (i, p) in [40u16, 41, 42, 43, 44].into_iter().enumerate() {
             c.produce(PhysReg(p));
             c.write(PhysReg(p), i as u16, 1, false, 0, 1 + i as u64);

@@ -207,7 +207,7 @@ proptest! {
         let nthreads = 4;
         let nsets = cfg.entries / cfg.ways;
         let mut cache = RegisterCache::new_smt(cfg, NPREGS, nthreads);
-        let cap = cache.occupancy_cap().expect("OccupancyCap mode has a cap");
+        let cap = cache.partition().cap(0).expect("OccupancyCap mode has a cap");
         prop_assert_eq!(cap, 4);
         let set_of = |preg: u8| (preg as usize % nsets) as u16;
         let mut live = [false; NPREGS];
@@ -325,12 +325,12 @@ proptest! {
                 prop_assert_eq!(fb.new_caps.iter().sum::<usize>(), entries);
                 prop_assert_eq!(
                     fb.new_caps.as_slice(),
-                    cache.dynamic_caps().expect("DynamicCap mode"),
+                    cache.partition().caps().expect("DynamicCap mode"),
                     "feedback and installed quotas diverged"
                 );
             }
             prop_assert!(cache.audit().is_ok(), "audit failed: {:?}", cache.audit());
-            let caps = cache.dynamic_caps().expect("DynamicCap mode").to_vec();
+            let caps = cache.partition().caps().expect("DynamicCap mode").to_vec();
             prop_assert_eq!(caps.iter().sum::<usize>(), entries, "quota sum drifted");
             let mut per_thread = vec![0usize; nthreads];
             for e in cache.entries() {
@@ -408,16 +408,17 @@ proptest! {
                 prop_assert_eq!(fb.new_ways.iter().sum::<usize>(), ways);
                 prop_assert_eq!(
                     fb.new_ways.as_slice(),
-                    cache.way_counts().expect("DynamicWay mode"),
+                    cache.partition().way_counts().expect("DynamicWay mode"),
                     "feedback and installed way counts diverged"
                 );
             }
             prop_assert!(cache.audit().is_ok(), "audit failed: {:?}", cache.audit());
-            let counts = cache.way_counts().expect("DynamicWay mode").to_vec();
+            let counts = cache.partition().way_counts().expect("DynamicWay mode").to_vec();
             prop_assert_eq!(counts.iter().sum::<usize>(), ways, "way sum drifted");
             prop_assert!(counts.iter().all(|&c| c >= 1), "a thread owns zero ways");
             for e in cache.entries() {
                 let owner = cache
+                    .partition()
                     .way_owner(e.way as usize)
                     .expect("DynamicWay owns every way");
                 prop_assert_eq!(

@@ -80,7 +80,6 @@ struct SpecCheckpoint {
 /// The architectural state of one program: registers, memory, and PC.
 ///
 /// See the crate docs for an end-to-end example.
-#[derive(Clone)]
 pub struct Machine {
     program: std::sync::Arc<Program>,
     mem: Vec<u8>,
@@ -91,6 +90,38 @@ pub struct Machine {
     icount: u64,
     spec: Option<SpecCheckpoint>,
     undo: Vec<Undo>,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        Self {
+            program: self.program.clone(),
+            mem: self.mem.clone(),
+            int_regs: self.int_regs,
+            fp_regs: self.fp_regs,
+            pc: self.pc,
+            halted: self.halted,
+            icount: self.icount,
+            spec: self.spec.clone(),
+            undo: self.undo.clone(),
+        }
+    }
+
+    /// Copies `source` into `self` field by field, reusing `self`'s
+    /// memory image and undo log instead of reallocating them (the
+    /// derived `clone_from` would allocate and copy a fresh memory
+    /// image). Machine-check recovery restores its checkpoint this way.
+    fn clone_from(&mut self, source: &Self) {
+        self.program.clone_from(&source.program);
+        self.mem.clone_from(&source.mem);
+        self.int_regs = source.int_regs;
+        self.fp_regs = source.fp_regs;
+        self.pc = source.pc;
+        self.halted = source.halted;
+        self.icount = source.icount;
+        self.spec.clone_from(&source.spec);
+        self.undo.clone_from(&source.undo);
+    }
 }
 
 impl fmt::Debug for Machine {
@@ -603,6 +634,32 @@ mod tests {
         m.run(1_000_000).expect("runs");
         assert!(m.is_halted(), "program did not halt");
         m
+    }
+
+    #[test]
+    fn clone_from_reuses_the_memory_image() {
+        let p = assemble(
+            "main: li r1, 7\n\
+                   li r2, 4096\n\
+                   sd r1, 8(r2)\n\
+                   add r3, r1, r1\n\
+                   halt\n",
+        )
+        .expect("assembles");
+        let mut source = Machine::new(p.clone());
+        source.run(1_000_000).expect("runs");
+        let mut dest = Machine::new(p);
+        dest.step().expect("steps");
+        let before = dest.mem.as_ptr();
+        dest.clone_from(&source);
+        assert_eq!(dest.mem.as_ptr(), before, "memory image reallocated");
+        assert_eq!(dest.mem, source.mem);
+        assert_eq!(dest.int_regs, source.int_regs);
+        assert_eq!(dest.pc(), source.pc());
+        assert_eq!(dest.is_halted(), source.is_halted());
+        assert_eq!(dest.instruction_count(), source.instruction_count());
+        assert_eq!(dest.read_u64(4096 + 8).unwrap(), 7);
+        assert_eq!(dest.int_reg(3), 14);
     }
 
     #[test]

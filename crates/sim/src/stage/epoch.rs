@@ -4,16 +4,18 @@
 //!
 //! Runs last in [`super::SCHEDULE`], after every cycle's reads and
 //! writes have landed, so an epoch boundary observes a consistent
-//! end-of-cycle cache state. Whenever the cache's
-//! [`ubrc_core::PartitionController`] reports a boundary due — every
+//! end-of-cycle cache state. Whenever the register cache reports a
+//! boundary due ([`ubrc_core::RegisterCache::epoch_due`]: every
 //! `epoch_cycles`-th cycle, or at the variable instants an
-//! [`ubrc_core::EpochAdapt`] pacer schedules — it asks the register
-//! cache to close the epoch: the cache snapshots its per-thread
-//! hit/miss deltas, reruns the lookahead utility partitioner over the
-//! shadow-tag monitors, enforces the new quotas or way map, and
-//! broadcasts the resulting [`ubrc_core::EpochFeedback`] to the policy
-//! hooks. This stage only decides *when to ask* — all repartitioning
-//! state lives in `ubrc-core`.
+//! [`ubrc_core::EpochAdapt`] pacer schedules) it asks the cache to
+//! close the epoch: the cache snapshots its per-thread hit/miss deltas,
+//! reruns the lookahead utility partitioner over the shadow-tag
+//! monitors, enforces the new quotas or way map in its
+//! [`ubrc_core::PartitionController`], retunes the adaptive insertion
+//! threshold, and returns the resulting [`ubrc_core::EpochFeedback`],
+//! which this stage records in the epoch timeline. This stage only
+//! decides *when to ask* — all repartitioning state lives in
+//! `ubrc-core`.
 //!
 //! Everything is keyed off the cycle counter — no RNG, no wall clock —
 //! so dynamic repartitioning is exactly as reproducible as the rest of

@@ -873,7 +873,7 @@ impl CoreState {
         let (epochs, dynamic_caps) = match &self.storage {
             Storage::Cached { cache, .. } => (
                 cache.stats().epochs,
-                cache.dynamic_caps().map(|c| c.to_vec()),
+                cache.partition().caps().map(|c| c.to_vec()),
             ),
             _ => (0, None),
         };
@@ -1080,7 +1080,7 @@ impl CoreState {
                     // *current* owner (WayPartition forever, DynamicWay
                     // as of the last boundary).
                     let way = e.way as usize;
-                    if let Some(who) = cache.way_owner(way) {
+                    if let Some(who) = cache.partition().way_owner(way) {
                         if who != owner {
                             return viol(
                                 Some(owner),
@@ -1108,7 +1108,7 @@ impl CoreState {
                     // The cap binding *right now*: the static
                     // OccupancyCap split, or whatever quota the dynamic
                     // partitioner installed at the last epoch boundary.
-                    if let Some(cap) = cache.current_cap(tid) {
+                    if let Some(cap) = cache.partition().cap(tid) {
                         if n > cap {
                             return viol(
                                 Some(tid),
@@ -1118,7 +1118,7 @@ impl CoreState {
                         }
                     }
                 }
-                if let Some(caps) = cache.dynamic_caps() {
+                if let Some(caps) = cache.partition().caps() {
                     // Cap-sum conservation: the partitioner reassigns
                     // quota, it never mints or destroys it.
                     let total: usize = caps.iter().sum();
@@ -1133,7 +1133,7 @@ impl CoreState {
                         );
                     }
                 }
-                if let Some(ways) = cache.way_counts() {
+                if let Some(ways) = cache.partition().way_counts() {
                     // Way-sum conservation: way reassignment moves
                     // whole ways between threads, it never mints or
                     // destroys them (and every thread keeps >= 1).

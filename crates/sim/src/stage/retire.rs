@@ -157,7 +157,7 @@ impl CoreState {
             } => {
                 cache.finalize(now);
                 let b = *backing.stats();
-                let caps = cache.dynamic_caps().map(|c| c.to_vec());
+                let caps = cache.partition().caps().map(|c| c.to_vec());
                 (Some(cache.into_stats()), Some(b), None, caps)
             }
             Storage::TwoLevel { file } => (None, None, Some(*file.stats()), None),

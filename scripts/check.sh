@@ -19,6 +19,11 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== workspace tests: every crate's unit, integration and doc tests"
+# Tier-1 `cargo test` at the root builds only the root package; this
+# gates the crate-level suites (sim, core, isa, emu, memsys, ...) too.
+cargo test --workspace -q
+
 echo "== oracle-on smoke: Tiny suite with full runtime checking"
 cargo run --release -q -p ubrc-bench --bin experiments -- \
   charstats --scale tiny --check --timeout 300 >/dev/null

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use ubrc::core::{
-    controller_for, CachePartition, IndexAssigner, IndexPolicy, InsertionPolicy, PhysReg,
+    CachePartition, EpochAdapt, IndexAssigner, IndexPolicy, InsertionPolicy, PhysReg,
     RegCacheConfig, RegisterCache, ReplacementPolicy, UseTracker, WriteOutcome,
 };
 
@@ -141,21 +141,36 @@ fn exercise_cache(mut cache: RegisterCache, ops: &[Op]) {
     }
 }
 
-/// Applies one op stream to two caches in lockstep, asserting every
-/// externally visible decision (insertion outcome, read hit/miss,
-/// occupancy) matches at every step.
-fn exercise_lockstep(a: &mut RegisterCache, b: &mut RegisterCache, ops: &[Op]) {
+/// Applies one op stream to `a` alone up to op `clone_at`, clones it
+/// there, then drives the original and the clone in lockstep through
+/// the rest, asserting every externally visible decision (insertion
+/// outcome, read hit/miss, occupancy, epoch feedback) matches at every
+/// step. Epoch boundaries fire whenever the cache reports one due, so
+/// dynamic partitions repartition on both sides of the clone point.
+/// Returns the original and the clone (a clone at the end of the
+/// stream when `clone_at >= ops.len()`).
+fn exercise_lockstep(
+    mut a: RegisterCache,
+    ops: &[Op],
+    clone_at: usize,
+) -> (RegisterCache, RegisterCache) {
     let sets = a.config().sets() as u16;
     let mut life = [Life::Free; NPREGS];
     let mut set_of = [0u16; NPREGS];
     let mut now = 0u64;
+    let mut b: Option<RegisterCache> = None;
     for (i, &op) in ops.iter().enumerate() {
+        if i == clone_at {
+            b = Some(a.clone());
+        }
         now += 1;
         match op {
             Op::Produce { preg } => {
                 if life[preg as usize] == Life::Free {
                     a.produce(PhysReg(preg as u16));
-                    b.produce(PhysReg(preg as u16));
+                    if let Some(b) = &mut b {
+                        b.produce(PhysReg(preg as u16));
+                    }
                     set_of[preg as usize] = preg as u16 % sets;
                     life[preg as usize] = Life::Produced;
                 }
@@ -170,8 +185,10 @@ fn exercise_lockstep(a: &mut RegisterCache, b: &mut RegisterCache, ops: &[Op]) {
                     let p = PhysReg(preg as u16);
                     let set = set_of[preg as usize];
                     let oa = a.write(p, set, remaining, pinned, bypasses as u32, now);
-                    let ob = b.write(p, set, remaining, pinned, bypasses as u32, now);
-                    assert_eq!(oa, ob, "insertion decision diverged at op {i}");
+                    if let Some(b) = &mut b {
+                        let ob = b.write(p, set, remaining, pinned, bypasses as u32, now);
+                        assert_eq!(oa, ob, "insertion decision diverged at op {i}");
+                    }
                     life[preg as usize] = Life::Written;
                 }
             }
@@ -180,72 +197,111 @@ fn exercise_lockstep(a: &mut RegisterCache, b: &mut RegisterCache, ops: &[Op]) {
                     let p = PhysReg(preg as u16);
                     let set = set_of[preg as usize];
                     let ha = a.read(p, set, now);
-                    let hb = b.read(p, set, now);
-                    assert_eq!(ha, hb, "hit/miss (replacement victim) diverged at op {i}");
                     if !ha {
                         a.fill(p, set, now);
-                        b.fill(p, set, now);
+                    }
+                    if let Some(b) = &mut b {
+                        let hb = b.read(p, set, now);
+                        assert_eq!(ha, hb, "hit/miss (replacement victim) diverged at op {i}");
+                        if !hb {
+                            b.fill(p, set, now);
+                        }
                     }
                 }
             }
             Op::Free { preg } => {
                 if life[preg as usize] != Life::Free {
                     a.free(PhysReg(preg as u16), set_of[preg as usize], now);
-                    b.free(PhysReg(preg as u16), set_of[preg as usize], now);
+                    if let Some(b) = &mut b {
+                        b.free(PhysReg(preg as u16), set_of[preg as usize], now);
+                    }
                     life[preg as usize] = Life::Free;
                 }
             }
         }
-        assert_eq!(a.occupancy(), b.occupancy(), "occupancy diverged at op {i}");
+        if a.epoch_due(now) {
+            let fa = a.epoch_boundary(now);
+            if let Some(b) = &mut b {
+                assert!(b.epoch_due(now), "epoch pacing diverged at op {i}");
+                assert_eq!(
+                    fa,
+                    b.epoch_boundary(now),
+                    "epoch feedback diverged at op {i}"
+                );
+            }
+        }
+        if let Some(b) = &b {
+            assert_eq!(a.occupancy(), b.occupancy(), "occupancy diverged at op {i}");
+            assert_eq!(
+                a.partition(),
+                b.partition(),
+                "partition state diverged at op {i}"
+            );
+        }
     }
+    let b = b.unwrap_or_else(|| a.clone());
+    (a, b)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tentpole invariant: the monomorphic enum fast paths
-    /// (`AnyInsertion` / `AnyScorer` / `AnyController`) and the
-    /// `Custom(Box<dyn ...>)` escape hatch wrapping the *same* shipped
-    /// policy make identical decisions on identical access sequences —
-    /// devirtualizing the hot path changed dispatch, not behavior.
+    /// A cloned cache is an exact fork: cloned at a random point of a
+    /// random op stream, the original and the clone make identical
+    /// decisions through the rest of it, across every insertion ×
+    /// replacement × partition combination. This covers all per-run
+    /// policy state — adaptive use thresholds, dynamic quotas and way
+    /// maps, the (adaptive) epoch pacer, and the utility monitors. The
+    /// 8-entry cache and 16-cycle epochs keep threads at their quotas
+    /// often enough that the adaptive thresholds actually move.
     #[test]
-    fn enum_dispatch_matches_custom_boxed_policies(
+    fn cloned_cache_decides_in_lockstep_with_the_original(
         ops in proptest::collection::vec(op_strategy(), 1..400),
-        insertion in prop_oneof![
-            Just(InsertionPolicy::WriteAll),
-            Just(InsertionPolicy::NonBypass),
-            Just(InsertionPolicy::UseBased),
-            Just(InsertionPolicy::AdaptiveUseThreshold),
-        ],
-        replacement in prop_oneof![
-            Just(ReplacementPolicy::Lru),
-            Just(ReplacementPolicy::FewestUses),
-            Just(ReplacementPolicy::ExpectedHitCount),
-        ],
-        partition_pick in 0usize..5,
+        clone_frac in 0.0f64..1.0,
     ) {
-        let mut config = RegCacheConfig::use_based(16, 4);
-        config.insertion = insertion;
-        config.replacement = replacement;
-        let (nthreads, partition) = match partition_pick {
-            0 => (1, CachePartition::Shared),
-            1 => (2, CachePartition::WayPartition),
-            2 => (2, CachePartition::OccupancyCap),
-            3 => (2, CachePartition::DynamicCap { epoch_cycles: 64, min_cap: 2 }),
-            _ => (2, CachePartition::DynamicWay { epoch_cycles: 64 }),
-        };
-        config.partition = partition;
-        let mut enum_cache = RegisterCache::new_smt(config, NPREGS, nthreads);
-        let mut custom_cache = RegisterCache::new_smt(config, NPREGS, nthreads);
-        custom_cache.set_insertion(insertion.decider());
-        custom_cache.set_replacement(replacement.scorer());
-        custom_cache.set_partition(controller_for(&config, nthreads));
-        exercise_lockstep(&mut enum_cache, &mut custom_cache, &ops);
-        prop_assert_eq!(
-            format!("{:?}", enum_cache.stats()),
-            format!("{:?}", custom_cache.stats()),
-            "statistics diverged between enum and Custom dispatch"
-        );
+        let clone_at = (clone_frac * ops.len() as f64) as usize;
+        for insertion in [
+            InsertionPolicy::WriteAll,
+            InsertionPolicy::NonBypass,
+            InsertionPolicy::UseBased,
+            InsertionPolicy::AdaptiveUseThreshold,
+        ] {
+            for replacement in [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::FewestUses,
+                ReplacementPolicy::ExpectedHitCount,
+            ] {
+                for (nthreads, partition, epoch_adapt) in [
+                    (1, CachePartition::Shared, None),
+                    (2, CachePartition::Shared, None),
+                    (2, CachePartition::WayPartition, None),
+                    (2, CachePartition::OccupancyCap, None),
+                    (2, CachePartition::DynamicCap { epoch_cycles: 16, min_cap: 2 }, None),
+                    (2, CachePartition::DynamicWay { epoch_cycles: 16 }, None),
+                    (
+                        2,
+                        CachePartition::DynamicWay { epoch_cycles: 16 },
+                        Some(EpochAdapt { min_cycles: 8, max_cycles: 64, band: 1 }),
+                    ),
+                ] {
+                    let config = RegCacheConfig {
+                        insertion,
+                        replacement,
+                        partition,
+                        epoch_adapt,
+                        ..RegCacheConfig::use_based(8, 4)
+                    };
+                    let cache = RegisterCache::new_smt(config, NPREGS, nthreads);
+                    let (original, clone) = exercise_lockstep(cache, &ops, clone_at);
+                    prop_assert_eq!(
+                        format!("{:?}", original.stats()),
+                        format!("{:?}", clone.stats()),
+                        "statistics diverged between the original and its clone ({:?})",
+                        config
+                    );
+                }
+            }
+        }
     }
 
     #[test]
