@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod machine;
+mod memory;
 mod record;
 
 pub use machine::{EmuError, Machine, StepOutcome, DEFAULT_MEM_SIZE};

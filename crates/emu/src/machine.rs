@@ -1,9 +1,13 @@
+use crate::memory::Memory;
 use crate::record::ExecRecord;
 use std::error::Error;
 use std::fmt;
 use ubrc_isa::{AluImmOp, AluOp, BranchCond, CvtDir, FpuOp, Inst, MemWidth, Program, Reg};
 
-/// Default memory size: 16 MiB, enough for every bundled workload.
+/// Default address-space size: 16 MiB, enough for every bundled
+/// workload. It bounds addresses and places the initial stack pointer;
+/// memory is paged on first write, so a machine holds only the pages
+/// its program touches.
 pub const DEFAULT_MEM_SIZE: usize = 16 << 20;
 
 /// Runtime error raised by the emulator.
@@ -66,7 +70,7 @@ pub enum StepOutcome {
 enum Undo {
     IntReg(u8, u64),
     FpReg(u8, f64),
-    Mem(u64, [u8; 8], u8),
+    Mem(u64, u64, u8),
 }
 
 /// Snapshot taken when speculation begins.
@@ -82,7 +86,7 @@ struct SpecCheckpoint {
 /// See the crate docs for an end-to-end example.
 pub struct Machine {
     program: std::sync::Arc<Program>,
-    mem: Vec<u8>,
+    mem: Memory,
     int_regs: [u64; 32],
     fp_regs: [f64; 32],
     pc: u64,
@@ -108,9 +112,9 @@ impl Clone for Machine {
     }
 
     /// Copies `source` into `self` field by field, reusing `self`'s
-    /// memory image and undo log instead of reallocating them (the
-    /// derived `clone_from` would allocate and copy a fresh memory
-    /// image). Machine-check recovery restores its checkpoint this way.
+    /// memory pages and undo log instead of reallocating them (the
+    /// derived `clone_from` would clone a fresh memory image).
+    /// Machine-check recovery restores its checkpoint this way.
     fn clone_from(&mut self, source: &Self) {
         self.program.clone_from(&source.program);
         self.mem.clone_from(&source.mem);
@@ -130,13 +134,13 @@ impl fmt::Debug for Machine {
             .field("pc", &self.pc)
             .field("halted", &self.halted)
             .field("icount", &self.icount)
-            .field("mem_size", &self.mem.len())
+            .field("mem_size", &self.mem.size())
             .finish_non_exhaustive()
     }
 }
 
 impl Machine {
-    /// Creates a machine with [`DEFAULT_MEM_SIZE`] bytes of memory and
+    /// Creates a machine with a [`DEFAULT_MEM_SIZE`]-byte address space and
     /// loads the program (data segment copied in, stack pointer at the
     /// top of memory).
     ///
@@ -147,7 +151,7 @@ impl Machine {
         Self::with_mem_size(program, DEFAULT_MEM_SIZE)
     }
 
-    /// Creates a machine with an explicit memory size in bytes.
+    /// Creates a machine with an explicit address-space size in bytes.
     ///
     /// # Panics
     ///
@@ -176,21 +180,21 @@ impl Machine {
     /// rather than deep-copied. This is how the lockstep oracle gets
     /// its second machine without duplicating the instruction stream.
     pub fn fork_fresh(&self) -> Self {
-        Self::from_shared(std::sync::Arc::clone(&self.program), self.mem.len())
+        Self::from_shared(std::sync::Arc::clone(&self.program), self.mem.size())
             .expect("the source machine already loaded this program")
     }
 
     fn from_shared(program: std::sync::Arc<Program>, mem_size: usize) -> Result<Self, EmuError> {
-        let mut mem = vec![0u8; mem_size];
+        let mut mem = Memory::new(mem_size);
         let base = program.data_base as usize;
         let end = base + program.data.len();
-        if end > mem.len() {
+        if end > mem_size {
             return Err(EmuError::ProgramTooLarge {
                 required: end as u64,
-                available: mem.len() as u64,
+                available: mem_size as u64,
             });
         }
-        mem[base..end].copy_from_slice(&program.data);
+        mem.write(base, &program.data);
         let mut int_regs = [0u64; 32];
         int_regs[ubrc_isa::SP.index() as usize] = (mem_size as u64 - 64) & !15;
         Ok(Self {
@@ -303,28 +307,23 @@ impl Machine {
 
     /// Reads `width` bytes at `addr`, little-endian.
     fn mem_read(&self, pc: u64, addr: u64, width: MemWidth) -> Result<u64, EmuError> {
-        let n = width.bytes() as usize;
-        let a = addr as usize;
-        if addr.checked_add(width.bytes()).is_none() || a + n > self.mem.len() {
+        if !self.mem.contains(addr, width.bytes()) {
             return Err(EmuError::BadAccess { pc, addr });
         }
-        let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(&self.mem[a..a + n]);
-        Ok(u64::from_le_bytes(buf))
+        Ok(self.mem.read(addr as usize, width.bytes() as usize))
     }
 
     fn mem_write(&mut self, pc: u64, addr: u64, width: MemWidth, v: u64) -> Result<(), EmuError> {
-        let n = width.bytes() as usize;
-        let a = addr as usize;
-        if addr.checked_add(width.bytes()).is_none() || a + n > self.mem.len() {
+        if !self.mem.contains(addr, width.bytes()) {
             return Err(EmuError::BadAccess { pc, addr });
         }
+        let n = width.bytes() as usize;
+        let a = addr as usize;
         if self.spec.is_some() {
-            let mut old = [0u8; 8];
-            old[..n].copy_from_slice(&self.mem[a..a + n]);
+            let old = self.mem.read(a, n);
             self.undo.push(Undo::Mem(addr, old, n as u8));
         }
-        self.mem[a..a + n].copy_from_slice(&v.to_le_bytes()[..n]);
+        self.mem.write(a, &v.to_le_bytes()[..n]);
         Ok(())
     }
 
@@ -596,7 +595,7 @@ impl Machine {
                 Undo::FpReg(i, v) => self.fp_regs[i as usize] = v,
                 Undo::Mem(addr, old, n) => {
                     let a = addr as usize;
-                    self.mem[a..a + n as usize].copy_from_slice(&old[..n as usize]);
+                    self.mem.write(a, &old.to_le_bytes()[..n as usize]);
                 }
             }
         }
@@ -626,6 +625,8 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::PAGE_SIZE;
+    use proptest::prelude::*;
     use ubrc_isa::assemble;
 
     fn run_asm(src: &str) -> Machine {
@@ -636,13 +637,23 @@ mod tests {
         m
     }
 
+    /// Indices of `m`'s materialised pages.
+    fn pages(m: &Machine) -> Vec<usize> {
+        m.mem.materialised().iter().map(|&(i, _)| i).collect()
+    }
+
     #[test]
     fn clone_from_reuses_the_memory_image() {
         let p = assemble(
-            "main: li r1, 7\n\
+            ".data\n\
+             v: .quad 5\n\
+             .text\n\
+             main: li r1, 7\n\
                    li r2, 4096\n\
                    sd r1, 8(r2)\n\
                    add r3, r1, r1\n\
+                   la r4, v\n\
+                   sd r3, 0(r4)\n\
                    halt\n",
         )
         .expect("assembles");
@@ -650,16 +661,262 @@ mod tests {
         source.run(1_000_000).expect("runs");
         let mut dest = Machine::new(p);
         dest.step().expect("steps");
-        let before = dest.mem.as_ptr();
+        // A page only `dest` has, which the restore must drop.
+        dest.write_u64(0x20_0000, 9).expect("in range");
+        let before = dest.mem.materialised();
         dest.clone_from(&source);
-        assert_eq!(dest.mem.as_ptr(), before, "memory image reallocated");
-        assert_eq!(dest.mem, source.mem);
+        let after = dest.mem.materialised();
+        // Every page materialised in both machines keeps its address;
+        // the data page is one of them.
+        let shared: Vec<_> = before.iter().filter(|b| after.contains(b)).collect();
+        assert_eq!(shared.len(), 1, "data page reallocated");
+        for (page, addr) in &after {
+            if let Some((_, was)) = before.iter().find(|(i, _)| i == page) {
+                assert_eq!(addr, was, "page {page} reallocated");
+            }
+        }
+        assert_eq!(pages(&dest), pages(&source));
+        assert_eq!(dest.mem.to_flat(), source.mem.to_flat());
         assert_eq!(dest.int_regs, source.int_regs);
         assert_eq!(dest.pc(), source.pc());
         assert_eq!(dest.is_halted(), source.is_halted());
         assert_eq!(dest.instruction_count(), source.instruction_count());
         assert_eq!(dest.read_u64(4096 + 8).unwrap(), 7);
+        assert_eq!(dest.read_u64(ubrc_isa::DATA_BASE).unwrap(), 14);
+        assert_eq!(dest.read_u64(0x20_0000).unwrap(), 0);
         assert_eq!(dest.int_reg(3), 14);
+    }
+
+    #[test]
+    fn new_and_fork_fresh_materialise_only_the_data_segment_pages() {
+        // 8 + 8184 + 8 = 8200 data bytes from the page-aligned
+        // DATA_BASE: three pages.
+        let p = assemble(
+            ".data\n\
+             a: .quad 1\n\
+             buf: .space 8184\n\
+             z: .quad 2\n\
+             .text\n\
+             main: li r1, 3\n\
+                   sd r1, 0(sp)\n\
+                   halt\n",
+        )
+        .expect("assembles");
+        let first = p.data_base as usize / PAGE_SIZE;
+        let data_pages = vec![first, first + 1, first + 2];
+        assert_eq!((p.data_end() as usize - 1) / PAGE_SIZE, first + 2);
+        let mut m = Machine::new(p);
+        assert_eq!(pages(&m), data_pages);
+        m.run(10).expect("runs");
+        let stack_page = m.int_reg(ubrc_isa::SP.index()) as usize / PAGE_SIZE;
+        assert_eq!(pages(&m), [data_pages.clone(), vec![stack_page]].concat());
+        let fresh = m.fork_fresh();
+        assert_eq!(pages(&fresh), data_pages);
+        let z = fresh.program().symbol("z").unwrap();
+        assert_eq!(fresh.read_u64(z).unwrap(), 2);
+        assert_eq!(fresh.read_u64(m.int_reg(ubrc_isa::SP.index())).unwrap(), 0);
+        assert_eq!(pages(&fresh), data_pages, "a read materialised a page");
+    }
+
+    #[test]
+    fn a_quad_store_across_a_page_edge_reads_back_and_rolls_back() {
+        let mut m = Machine::new(assemble("main: halt\n").unwrap());
+        let old_at = 5 * PAGE_SIZE as u64 - 5;
+        m.write_u64(old_at, 0xaaaa_bbbb_cccc_dddd).unwrap();
+        m.enter_speculation(m.pc());
+        // A wrong-path store over existing data and one into two
+        // pages never touched before.
+        let fresh_at = 7 * PAGE_SIZE as u64 - 3;
+        m.write_u64(old_at, 0x1111_2222_3333_4444).unwrap();
+        m.write_u64(fresh_at, 0x1122_3344_5566_7788).unwrap();
+        assert_eq!(m.read_u64(old_at).unwrap(), 0x1111_2222_3333_4444);
+        assert_eq!(m.read_u64(fresh_at).unwrap(), 0x1122_3344_5566_7788);
+        let byte = |m: &Machine, a: u64| m.mem_read(0, a, MemWidth::Byte).unwrap();
+        assert_eq!(byte(&m, fresh_at + 2), 0x66, "last byte of the lower page");
+        assert_eq!(byte(&m, fresh_at + 3), 0x55, "first byte of the upper page");
+        assert_eq!(pages(&m), [4, 5, 6, 7]);
+        m.abort_speculation();
+        assert_eq!(m.read_u64(old_at).unwrap(), 0xaaaa_bbbb_cccc_dddd);
+        // The wrong-path store materialised its pages; the rollback
+        // restored zeros into them.
+        assert_eq!(m.read_u64(fresh_at).unwrap(), 0);
+        assert_eq!(pages(&m), [4, 5, 6, 7]);
+        let mut flat = vec![0u8; DEFAULT_MEM_SIZE];
+        flat[old_at as usize..][..8].copy_from_slice(&0xaaaa_bbbb_cccc_dddd_u64.to_le_bytes());
+        assert_eq!(m.mem.to_flat(), flat);
+    }
+
+    /// Where a generated access lands, resolved against the memory size.
+    #[derive(Clone, Copy, Debug)]
+    enum Spot {
+        /// Up to 8 bytes either side of a page boundary (including the
+        /// boundaries at and past the end of memory).
+        Edge(u64, i64),
+        /// `size - 8 ..= size + 8`.
+        End(u64),
+        /// Anywhere inside memory.
+        Inside(u64),
+        /// Any address at all, mostly far out of range.
+        Wild(u64),
+    }
+
+    impl Spot {
+        fn addr(self, size: usize) -> u64 {
+            let size = size as u64;
+            let page = PAGE_SIZE as u64;
+            match self {
+                Spot::Edge(raw, delta) => {
+                    (raw % (size / page + 2) * page).saturating_add_signed(delta)
+                }
+                Spot::End(k) => size - 8 + k,
+                Spot::Inside(raw) => raw % size,
+                Spot::Wild(raw) => raw,
+            }
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Read(MemWidth, Spot),
+        Write(MemWidth, Spot, u64),
+        Enter,
+        Abort,
+        /// Continue with a clone of the machine.
+        Clone,
+        /// Continue with a fresh fork that stored these quads (the
+        /// stores that land in range) and then `clone_from`ed the
+        /// machine.
+        CloneFrom(Vec<(Spot, u64)>),
+    }
+
+    fn spot() -> impl Strategy<Value = Spot> {
+        prop_oneof![
+            (any::<u64>(), -8i64..=8).prop_map(|(p, d)| Spot::Edge(p, d)),
+            (0u64..=16).prop_map(Spot::End),
+            any::<u64>().prop_map(Spot::Inside),
+            any::<u64>().prop_map(Spot::Wild),
+            (0u64..=8).prop_map(|k| Spot::Wild(u64::MAX - k)),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let width = || {
+            prop_oneof![
+                Just(MemWidth::Byte),
+                Just(MemWidth::Half),
+                Just(MemWidth::Word),
+                Just(MemWidth::Quad),
+            ]
+        };
+        // Arms are drawn uniformly: repeats weight reads and writes.
+        prop_oneof![
+            (width(), spot()).prop_map(|(w, s)| Op::Read(w, s)),
+            (width(), spot()).prop_map(|(w, s)| Op::Read(w, s)),
+            (width(), spot(), any::<u64>()).prop_map(|(w, s, v)| Op::Write(w, s, v)),
+            (width(), spot(), any::<u64>()).prop_map(|(w, s, v)| Op::Write(w, s, v)),
+            (width(), spot(), any::<u64>()).prop_map(|(w, s, v)| Op::Write(w, s, v)),
+            Just(Op::Enter),
+            Just(Op::Abort),
+            Just(Op::Clone),
+            proptest::collection::vec((spot(), any::<u64>()), 0..6).prop_map(Op::CloneFrom),
+        ]
+    }
+
+    /// The reference model: one flat byte vector and its own undo log.
+    struct Flat {
+        mem: Vec<u8>,
+        undo: Option<Vec<(usize, Vec<u8>)>>,
+    }
+
+    impl Flat {
+        fn span(&self, addr: u64, width: MemWidth) -> Result<std::ops::Range<usize>, EmuError> {
+            match addr.checked_add(width.bytes()) {
+                Some(end) if end <= self.mem.len() as u64 => Ok(addr as usize..end as usize),
+                _ => Err(EmuError::BadAccess { pc: 0, addr }),
+            }
+        }
+
+        fn read(&self, addr: u64, width: MemWidth) -> Result<u64, EmuError> {
+            let span = self.span(addr, width)?;
+            let mut buf = [0u8; 8];
+            buf[..span.len()].copy_from_slice(&self.mem[span]);
+            Ok(u64::from_le_bytes(buf))
+        }
+
+        fn write(&mut self, addr: u64, width: MemWidth, v: u64) -> Result<(), EmuError> {
+            let span = self.span(addr, width)?;
+            if let Some(undo) = &mut self.undo {
+                undo.push((span.start, self.mem[span.clone()].to_vec()));
+            }
+            let n = span.len();
+            self.mem[span].copy_from_slice(&v.to_le_bytes()[..n]);
+            Ok(())
+        }
+
+        fn abort(&mut self) {
+            for (a, old) in self.undo.take().expect("speculating").into_iter().rev() {
+                self.mem[a..a + old.len()].copy_from_slice(&old);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn paged_memory_matches_a_flat_reference(
+            size_pick in 0usize..3,
+            ops in proptest::collection::vec(op(), 1..120),
+        ) {
+            let size = [DEFAULT_MEM_SIZE, 3 * PAGE_SIZE + 13, 8 * PAGE_SIZE][size_pick];
+            // Data that straddles the first page boundary.
+            let data_base = PAGE_SIZE as u64 - 4;
+            let program = ubrc_isa::assemble_at(
+                ".data\nd: .quad 0x1122334455667788\n.quad -2\n.text\nmain: halt\n",
+                ubrc_isa::TEXT_BASE,
+                data_base,
+            )
+            .unwrap();
+            let mut flat = Flat { mem: vec![0; size], undo: None };
+            flat.mem[data_base as usize..][..program.data.len()].copy_from_slice(&program.data);
+            let mut m = Machine::with_mem_size(program, size);
+            for op in ops {
+                match op {
+                    Op::Read(w, s) => {
+                        let a = s.addr(size);
+                        prop_assert_eq!(m.mem_read(0, a, w), flat.read(a, w), "{:?} at {:#x}", w, a);
+                    }
+                    Op::Write(w, s, v) => {
+                        let a = s.addr(size);
+                        prop_assert_eq!(m.mem_write(0, a, w, v), flat.write(a, w, v), "{:?} at {:#x}", w, a);
+                    }
+                    Op::Enter if !m.in_speculation() => {
+                        m.enter_speculation(m.pc());
+                        flat.undo = Some(Vec::new());
+                    }
+                    Op::Abort if m.in_speculation() => {
+                        m.abort_speculation();
+                        flat.abort();
+                    }
+                    Op::Enter | Op::Abort => {}
+                    Op::Clone => m = m.clone(),
+                    Op::CloneFrom(stores) => {
+                        let mut dest = m.fork_fresh();
+                        for (s, v) in stores {
+                            let _ = dest.write_u64(s.addr(size), v);
+                        }
+                        dest.clone_from(&m);
+                        m = dest;
+                    }
+                }
+            }
+            prop_assert!(m.mem.to_flat() == flat.mem, "images differ before rollback");
+            if m.in_speculation() {
+                m.abort_speculation();
+                flat.abort();
+                prop_assert!(m.mem.to_flat() == flat.mem, "images differ after rollback");
+            }
+        }
     }
 
     #[test]

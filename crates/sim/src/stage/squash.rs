@@ -157,9 +157,10 @@ impl CoreState {
         t.wp_ras_saved = false;
         // Restore the functional machine from the retirement
         // checkpoint (replacing it also discards any speculation the
-        // old machine had entered). `clone_from` reuses the squashed
-        // machine's buffers instead of reallocating the memory image
-        // on every recovery.
+        // old machine had entered). `clone_from` copies only the
+        // checkpoint's materialised memory pages, in place where the
+        // squashed machine already has them, so a restore costs the
+        // pages the program touched, not its whole address space.
         let recover = t.recover.as_deref().expect("recovery enabled");
         t.machine.clone_from(recover);
         t.fetch_resume = now + self.config.recovery.machine_check_penalty;

@@ -39,11 +39,11 @@ cargo run --release -q -p ubrc-bench --bin experiments -- \
 echo "== recovery smoke: Tiny suite, parity + injected faults, oracle on"
 # The soft experiment sweeps every recoverable fault class with full
 # checking: any oracle divergence or unbalanced pin/fill accounting
-# fails the run. The recovery test suite then asserts the counts are
-# non-zero (faults actually landed and were repaired).
+# fails the run. The recovery test suite (`ubrc-sim --test recovery`,
+# run by the workspace step above) asserts the counts are non-zero
+# (faults actually landed and were repaired).
 cargo run --release -q -p ubrc-bench --bin experiments -- \
   soft --scale tiny --check --timeout 300 >/dev/null
-cargo test --release -q -p ubrc-sim --test recovery
 
 echo "== dynamic-partitioning smoke: Tiny quads, DynamicCap, oracle on"
 # The ucp experiment runs the shared/occupancy-cap/dynamic-cap matrix;
@@ -77,11 +77,5 @@ if abs(delta) > 30.0:
     raise SystemExit(f"throughput drifted {delta:+.1f}% from scripts/tiny_throughput_baseline.txt "
                      "(tolerance ±30%); investigate or update the baseline with this machine's number")
 PYEOF
-
-echo "== ConfigError rejection tests"
-cargo test --release -q -p ubrc-sim --lib -- reject
-
-echo "== property tests: partitioning + protection invariants"
-cargo test --release -q -p ubrc-core --test robustness_props
 
 echo "all checks passed"
