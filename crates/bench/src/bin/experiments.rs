@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! experiments <id|all> [--scale tiny|small|default] [--json [PATH]]
-//!             [--check] [--timeout SECS] [--retries N] [--profile]
+//!             [--check] [--timeout SECS] [--profile]
 //! experiments --json            # trajectory only -> BENCH_pipeline.json
 //! experiments --list            # print available experiment ids
 //! ```
@@ -13,19 +13,16 @@
 //! oracle + per-cycle invariant checker) for every simulation;
 //! `--timeout SECS` gives each simulation cell a wall-clock budget,
 //! after which it is cancelled and reported as a typed timeout;
-//! `--retries N` re-runs a cell up to N extra times (with exponential
-//! backoff) when it fails transiently — timeout or panic — before the
-//! failure is recorded; `--profile` turns on the per-stage
-//! self-profiling layer (wall-time and call counts per pipeline stage,
-//! reported in the trajectory JSON; zero-cost when off and never a
-//! change to simulated timing). All four reach the runner through the
-//! `UBRC_CHECK` / `UBRC_TIMEOUT_SECS` / `UBRC_RETRIES` /
-//! `UBRC_PROFILE` environment variables, so they compose with every
-//! experiment.
+//! `--profile` turns on the per-stage self-profiling layer (wall-time
+//! and call counts per pipeline stage, reported in the trajectory JSON;
+//! zero-cost when off and never a change to simulated timing). All
+//! three reach the runner through the `UBRC_CHECK` /
+//! `UBRC_TIMEOUT_SECS` / `UBRC_PROFILE` environment variables, so they
+//! compose with every experiment.
 //!
 //! Selected experiments run concurrently: each gets a coordinator
 //! thread, and every individual simulation anywhere in the process
-//! goes through one bounded worker pool (see `ubrc_bench::run_one`),
+//! goes through one bounded worker pool (see `ubrc_bench::run_cells`),
 //! so total CPU use stays at the machine's parallelism no matter how
 //! many experiments are in flight. Reports still print in registry
 //! order.
@@ -42,7 +39,6 @@ struct Cli {
     json: Option<String>,
     check: bool,
     timeout: Option<u64>,
-    retries: Option<u32>,
     profile: bool,
     list: bool,
 }
@@ -54,7 +50,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         json: None,
         check: false,
         timeout: None,
-        retries: None,
         profile: false,
         list: false,
     };
@@ -95,13 +90,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     _ => return Err("--timeout needs a positive integer of seconds".into()),
                 };
             }
-            "--retries" => {
-                i += 1;
-                cli.retries = match args.get(i).and_then(|v| v.parse::<u32>().ok()) {
-                    Some(n) => Some(n),
-                    None => return Err("--retries needs a non-negative integer".into()),
-                };
-            }
             other if cli.which.is_none() && !other.starts_with("--") => {
                 cli.which = Some(other.to_string())
             }
@@ -126,9 +114,6 @@ fn main() {
     if let Some(secs) = cli.timeout {
         std::env::set_var("UBRC_TIMEOUT_SECS", secs.to_string());
     }
-    if let Some(n) = cli.retries {
-        std::env::set_var("UBRC_RETRIES", n.to_string());
-    }
     if cli.profile {
         std::env::set_var("UBRC_PROFILE", "1");
     }
@@ -145,13 +130,12 @@ fn main() {
     if cli.which.is_none() && cli.json.is_none() {
         eprintln!(
             "usage: experiments <id|all> [--scale tiny|small|default] [--json [PATH]]\n\
-             \x20                 [--check] [--timeout SECS] [--retries N] [--profile]\n\
+             \x20                 [--check] [--timeout SECS] [--profile]\n\
              \n\
              --list         print the available experiment ids and exit\n\
              --json [PATH]  also run the benchmark trajectory and write it as JSON\n\
              --check        enable the co-simulation oracle and invariant checker\n\
              --timeout SECS wall-clock budget per simulation cell\n\
-             --retries N    extra attempts per cell on transient failures\n\
              --profile      attribute wall-time to pipeline stages in the JSON\n\
              \n\
              available experiments:"
@@ -178,8 +162,8 @@ fn main() {
     let scale = cli.scale;
     let mut failed = false;
 
-    // One coordinator thread per experiment; the worker gate inside
-    // run_one() bounds actual concurrent simulations.
+    // One coordinator thread per experiment; the runner's worker gate
+    // bounds actual concurrent simulations.
     let mut results: Vec<Option<(Result<Table, _>, f64)>> = Vec::new();
     results.resize_with(selected.len(), || None);
     std::thread::scope(|scope| {

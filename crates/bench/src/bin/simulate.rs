@@ -10,10 +10,15 @@
 //!
 //! `--list` prints the disassembly before simulating; `--trace N`
 //! renders a pipeline diagram of the first N instructions.
+//!
+//! Exit status: 0 on success, 2 for bad arguments, an unreadable or
+//! unassemblable program, or a configuration the simulator rejects,
+//! and 1 when the simulation itself fails (for example, the program's
+//! functional execution faults).
 
 use ubrc_core::{IndexPolicy, RegCacheConfig, TwoLevelConfig};
 use ubrc_isa::assemble;
-use ubrc_sim::{simulate, RegStorage, SimConfig, SimResult};
+use ubrc_sim::{RegStorage, SimConfig, SimResult, Simulator};
 use ubrc_stats::Table;
 use ubrc_workloads::{workload_by_name, Scale};
 
@@ -243,7 +248,14 @@ fn main() {
     }
     let mut config = SimConfig::table1(storage);
     config.trace_instructions = opts.trace;
-    let result = simulate(program, config);
+    let sim = Simulator::try_new(program, config).unwrap_or_else(|e| {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    });
+    let result = sim.run_checked().unwrap_or_else(|e| {
+        eprintln!("simulation failed: {e}");
+        std::process::exit(1);
+    });
     if let Some(timeline) = &result.timeline {
         print!("{}", timeline.render(90));
         println!();

@@ -5,7 +5,8 @@
 //! workloads, and scale — see DESIGN.md); the *shapes* are the
 //! reproduction target and are recorded in EXPERIMENTS.md.
 
-use crate::runner::{run_one, run_suite, SuiteError, SuiteResult};
+use crate::runner::Cohort::{self, Pairs, Quads, Singles};
+use crate::runner::{run_cells, run_one_cell, RunOptions, SuiteError, SuiteResult};
 use ubrc_core::{CachePartition, IndexPolicy, RegCacheConfig, TwoLevelConfig};
 use ubrc_sim::{RegStorage, SimConfig};
 use ubrc_stats::Table;
@@ -51,6 +52,12 @@ fn schemes(entries: usize, ways: usize, backing: u32) -> Vec<(&'static str, SimC
             ),
         ),
     ]
+}
+
+/// Runs every group of `cohort` under `cfg` with options from the
+/// environment; the error names the first failing group in order.
+fn run(cohort: Cohort, cfg: &SimConfig, scale: Scale) -> Result<SuiteResult, SuiteError> {
+    run_cells(&cohort.groups(scale), cfg, RunOptions::from_env()).into_result()
 }
 
 fn mono_cfg(latency: u32) -> SimConfig {
@@ -133,7 +140,7 @@ pub fn table1() -> Table {
 pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
     let mut cfg = SimConfig::paper_default();
     cfg.collect_lifetimes = true;
-    let res = run_suite(&cfg, scale)?;
+    let res = run(Singles, &cfg, scale)?;
     let mut t = Table::new(["benchmark", "empty", "live", "dead"]);
     let (mut es, mut ls, mut ds) = (0.0, 0.0, 0.0);
     for (name, r) in &res.runs {
@@ -164,7 +171,7 @@ pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
 pub fn fig2(scale: Scale) -> Result<Table, SuiteError> {
     let mut cfg = SimConfig::paper_default();
     cfg.collect_lifetimes = true;
-    let res = run_suite(&cfg, scale)?;
+    let res = run(Singles, &cfg, scale)?;
     let mut alloc = ubrc_stats::Histogram::new();
     let mut live = ubrc_stats::Histogram::new();
     for (_, r) in &res.runs {
@@ -201,14 +208,14 @@ pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
         let mut row = vec![n.to_string()];
         for ways in [1, 2, 4, n] {
             let cfg = cached_cfg(RegCacheConfig::use_based(n, ways), IndexPolicy::Standard, 2);
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         t.row(row);
     }
     for lat in [1u32, 2, 3] {
         t.row([
             format!("RF {lat}-cycle (no cache)"),
-            format!("{:.4}", run_suite(&mono_cfg(lat), scale)?.geomean_ipc()),
+            format!("{:.4}", run(Singles, &mono_cfg(lat), scale)?.geomean_ipc()),
         ]);
     }
     Ok(t)
@@ -229,7 +236,7 @@ pub fn fig7(scale: Scale) -> Result<Table, SuiteError> {
         let mut row = vec![name.to_string()];
         for ways in [1usize, 2, 4] {
             let cfg = cached_cfg(RegCacheConfig::use_based(64, ways), policy, 2);
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         t.row(row);
     }
@@ -286,7 +293,7 @@ pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
             ("standard", IndexPolicy::Standard),
             ("filtered-rr", IndexPolicy::FilteredRoundRobin),
         ] {
-            let res = run_suite(&mk(ctor, index), scale)?;
+            let res = run(Singles, &mk(ctor, index), scale)?;
             miss_breakdown_row(&format!("{name}/{iname}"), &res, &mut t);
         }
     }
@@ -304,7 +311,7 @@ pub fn fig9(scale: Scale) -> Result<Table, SuiteError> {
         "file-write",
     ]);
     for (name, cfg) in schemes(64, 2, 2) {
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         t.row_f64(
             name,
             [
@@ -329,7 +336,7 @@ pub fn fig10(scale: Scale) -> Result<Table, SuiteError> {
         "never-cached%",
     ]);
     for (name, cfg) in schemes(64, 2, 2) {
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let pct = |f: &dyn Fn(&ubrc_core::RegCacheStats) -> Option<f64>| {
             res.mean_of(|r| r.regcache.as_ref().and_then(f).map(|v| v * 100.0))
                 .unwrap_or(0.0)
@@ -352,7 +359,7 @@ pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
     let mut t = Table::new(["average", "lru", "non-bypass", "use-based"]);
     let mut cols: Vec<[f64; 4]> = Vec::new();
     for (_, cfg) in schemes(64, 2, 2) {
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let m = |f: &dyn Fn(&ubrc_core::RegCacheStats, &ubrc_sim::SimResult) -> Option<f64>| {
             res.mean_of(|r| r.regcache.as_ref().and_then(|c| f(c, r)))
                 .unwrap_or(0.0)
@@ -382,7 +389,7 @@ pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
 /// paper reports 57%) and fraction of replacement victims with zero
 /// remaining uses (the paper reports 84%), under the proposed design.
 pub fn charstats(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suite(&SimConfig::paper_default(), scale)?;
+    let res = run(Singles, &SimConfig::paper_default(), scale)?;
     let mut t = Table::new(["benchmark", "bypass%", "zero-use-victims%"]);
     for (name, r) in &res.runs {
         let zero = r
@@ -434,20 +441,20 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
     for &n in &sizes {
         let mut row = vec![n.to_string()];
         for (_, cfg) in schemes(n, 2, 2) {
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         let ub4 = cached_cfg(
             RegCacheConfig::use_based(n, 4),
             IndexPolicy::FilteredRoundRobin,
             2,
         );
-        row.push(format!("{:.4}", run_suite(&ub4, scale)?.geomean_ipc()));
+        row.push(format!("{:.4}", run(Singles, &ub4, scale)?.geomean_ipc()));
         // The two-level L1 must exceed the architectural register count
         // ("at least one more register than the number of architected
         // registers", §5.5) — below that it cannot run at all.
         if n + 32 > ubrc_isa::NUM_ARCH_REGS as usize + 4 {
             let tl = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(n + 32)));
-            row.push(format!("{:.4}", run_suite(&tl, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &tl, scale)?.geomean_ipc()));
         } else {
             row.push("-".to_string());
         }
@@ -456,7 +463,7 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
     for lat in [1u32, 2, 3] {
         t.row([
             format!("RF {lat}-cycle (no cache)"),
-            format!("{:.4}", run_suite(&mono_cfg(lat), scale)?.geomean_ipc()),
+            format!("{:.4}", run(Singles, &mono_cfg(lat), scale)?.geomean_ipc()),
         ]);
     }
     Ok(t)
@@ -475,19 +482,19 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
     for lat in 1u32..=6 {
         let mut row = vec![lat.to_string()];
         for (_, cfg) in schemes(64, 2, lat) {
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         let tl = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig {
             l2_latency: lat,
             ..TwoLevelConfig::optimistic(96)
         }));
-        row.push(format!("{:.4}", run_suite(&tl, scale)?.geomean_ipc()));
+        row.push(format!("{:.4}", run(Singles, &tl, scale)?.geomean_ipc()));
         t.row(row);
     }
     for lat in [1u32, 2, 3] {
         t.row([
             format!("RF {lat}-cycle (no cache)"),
-            format!("{:.4}", run_suite(&mono_cfg(lat), scale)?.geomean_ipc()),
+            format!("{:.4}", run(Singles, &mono_cfg(lat), scale)?.geomean_ipc()),
         ]);
     }
     Ok(t)
@@ -500,7 +507,7 @@ pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
         let mut cache = RegCacheConfig::use_based(64, 2);
         cache.max_use_count = max;
         let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let miss = res
             .mean_of(|r| r.regcache.as_ref().and_then(|c| c.miss_rate()))
             .unwrap_or(0.0);
@@ -519,7 +526,7 @@ pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
             cache.unknown_default = unknown;
             cache.fill_default = fill;
             let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         t.row(row);
     }
@@ -534,7 +541,7 @@ pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
             transfers_per_cycle: bw,
             ..TwoLevelConfig::optimistic(96)
         }));
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.dispatch_stall_pregs).sum();
         t.row([
             bw.to_string(),
@@ -547,7 +554,7 @@ pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §3.3: degree-of-use predictor accuracy and coverage per benchmark.
 pub fn douse_accuracy(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suite(&SimConfig::paper_default(), scale)?;
+    let res = run(Singles, &SimConfig::paper_default(), scale)?;
     let mut t = Table::new(["benchmark", "accuracy%", "coverage%"]);
     for (name, r) in &res.runs {
         t.row_f64(
@@ -583,7 +590,7 @@ pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
                 2,
             );
             cfg.filter_params = Some((degree, skip));
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         t.row(row);
     }
@@ -599,7 +606,7 @@ pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
         let mut row = vec![stages.to_string()];
         for mut cfg in [SimConfig::paper_default(), mono_cfg(1), mono_cfg(3)] {
             cfg.bypass_stages = stages;
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+            row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
         }
         t.row(row);
     }
@@ -619,7 +626,7 @@ pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
         t.row([
             n.to_string(),
             sets.to_string(),
-            format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()),
+            format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()),
         ]);
     }
     Ok(t)
@@ -649,7 +656,7 @@ pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
         }),
     ];
     for (name, cfg) in variants {
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), miss * 100.0], 4);
     }
@@ -666,7 +673,7 @@ pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
     ] {
         let mut cfg = SimConfig::paper_default();
         cfg.load_hit_speculation = on;
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let misses: u64 = res.runs.iter().map(|(_, r)| r.load_miss_speculations).sum();
         t.row([
             name.to_string(),
@@ -685,7 +692,7 @@ pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
     for sets in [16usize, 64, 256, 1024] {
         let mut cfg = SimConfig::paper_default();
         cfg.douse.sets = sets;
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         t.row_f64(
             &format!("{}", sets * 4),
             [
@@ -707,7 +714,7 @@ pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
     for (name, on) in [("modeled (default)", true), ("ignored", false)] {
         let mut cfg = SimConfig::paper_default();
         cfg.model_store_forwarding = on;
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.store_forward_stalls).sum();
         t.row([
             name.to_string(),
@@ -729,10 +736,11 @@ pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
         .map(|(_, c)| c)
         .chain(std::iter::once(mono_cfg(3)))
         .collect();
+    let opts = RunOptions::from_env();
     for w in extended_suite(scale) {
         let mut row = vec![w.name.to_string()];
         for cfg in &configs {
-            let r = run_one(&w, cfg.clone())?;
+            let r = run_one_cell(&w, cfg.clone(), opts).outcome?;
             row.push(format!("{:.4}", r.ipc()));
         }
         t.row(row);
@@ -747,7 +755,7 @@ pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
     for ports in [1usize, 2, 4] {
         let mut cfg = SimConfig::paper_default();
         cfg.backing_read_ports = ports;
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let contention: u64 = res
             .runs
             .iter()
@@ -776,7 +784,7 @@ pub fn predictors(scale: Scale) -> Result<Table, SuiteError> {
     ] {
         let mut cfg = SimConfig::paper_default();
         cfg.branch_predictor = kind;
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let mr = res.mean_of(|r| r.branch_mispredict_rate()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), mr * 100.0], 4);
     }
@@ -798,11 +806,12 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
         "non-bypass-miss%",
         "use-based-miss%",
     ]);
+    let opts = RunOptions::from_env();
     for (name, spec) in specs {
         let w = spec.build();
         let mut row = vec![name.to_string()];
         for (_, cfg) in schemes(64, 2, 2) {
-            let r = run_one(&w, cfg)?;
+            let r = run_one_cell(&w, cfg, opts).outcome?;
             let miss = r
                 .regcache
                 .as_ref()
@@ -834,7 +843,7 @@ pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
         ),
     ] {
         let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), miss * 100.0], 4);
     }
@@ -867,8 +876,8 @@ pub fn smt(scale: Scale) -> Result<Table, SuiteError> {
     ];
     let mut t = Table::new(["scheme", "1T-geomean-ipc", "2T-geomean-ipc", "2T/1T"]);
     for (name, cfg) in variants {
-        let one = run_suite(&cfg, scale)?.geomean_ipc();
-        let two = crate::runner::run_pair_suite(&cfg, scale)?.geomean_ipc();
+        let one = run(Singles, &cfg, scale)?.geomean_ipc();
+        let two = run(Pairs, &cfg, scale)?.geomean_ipc();
         t.row_f64(name, [one, two, two / one], 4);
     }
     Ok(t)
@@ -944,7 +953,7 @@ pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
             let mut cache = base;
             cache.partition = p;
             let cfg = cached_cfg(cache, index, 2);
-            let res = crate::runner::run_quad_suite(&cfg, scale)?;
+            let res = run(Quads, &cfg, scale)?;
             let ipc = res.geomean_ipc();
             let baseline = shared.get_or_insert_with(|| res.clone());
             let fairness = fairness_vs_shared(baseline, &res);
@@ -1014,7 +1023,7 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
         "p99-latency",
     ]);
     for (name, cfg) in rows {
-        let res = run_suite(&cfg, scale)?;
+        let res = run(Singles, &cfg, scale)?;
         let mut latency = ubrc_stats::Histogram::new();
         let (mut recoveries, mut machine_checks) = (0u64, 0u64);
         for (_, r) in &res.runs {
@@ -1082,7 +1091,7 @@ pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
             let mut cache = base;
             cache.partition = p;
             let cfg = cached_cfg(cache, index, 2);
-            let res = crate::runner::run_quad_suite(&cfg, scale)?;
+            let res = run(Quads, &cfg, scale)?;
             let ipc = res.geomean_ipc();
             let baseline = shared.get_or_insert_with(|| res.clone());
             let fairness = fairness_vs_shared(baseline, &res);
@@ -1163,7 +1172,7 @@ pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
             cache.partition = *p;
             cache.epoch_adapt = *adapt;
             let cfg = cached_cfg(cache, index, 2);
-            let res = crate::runner::run_quad_suite(&cfg, scale)?;
+            let res = run(Quads, &cfg, scale)?;
             let ipc = res.geomean_ipc();
             let baseline = shared.get_or_insert_with(|| res.clone());
             let fairness = fairness_vs_shared(baseline, &res);
@@ -1210,8 +1219,8 @@ pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
             let mut cfg = SimConfig::paper_default();
             cfg.fetch_policy = fetch;
             cfg.freelist = freelist;
-            let two = crate::runner::run_pair_suite(&cfg, scale)?.geomean_ipc();
-            let four = crate::runner::run_quad_suite(&cfg, scale)?.geomean_ipc();
+            let two = run(Pairs, &cfg, scale)?.geomean_ipc();
+            let four = run(Quads, &cfg, scale)?.geomean_ipc();
             t.row([
                 fname.to_string(),
                 flname.to_string(),
@@ -1249,7 +1258,7 @@ pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
             let mut row = vec![entries.to_string(), ways.to_string()];
             for cache in [fewest, floored, ehc] {
                 let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-                row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
+                row.push(format!("{:.4}", run(Singles, &cfg, scale)?.geomean_ipc()));
             }
             t.row(row);
         }

@@ -9,7 +9,7 @@
 //!
 //! The schema is documented in DESIGN.md (§Performance).
 
-use crate::runner::{max_workers, run_suite_robust};
+use crate::runner::{max_workers, run_cells, Cohort, RunOptions, SuiteReport};
 use std::time::Instant;
 use ubrc_core::{CachePartition, IndexPolicy, ProtectionConfig, RegCacheConfig};
 use ubrc_sim::{FaultKind, FaultPlan, RecoveryPolicy, RegStorage, SimConfig};
@@ -17,18 +17,19 @@ use ubrc_stats::Json;
 use ubrc_workloads::Scale;
 
 /// Version tag embedded in the emitted document. `/2` added the
-/// per-kernel `attempts` count (runner retries) and the `soft-*`
-/// protection/recovery configurations; `/3` added the dynamically
-/// partitioned 4-thread cells (`smt4-*-dyncap`) and the 2-thread
-/// fetch-policy cells (`smt2-use-based-{rr,ic28}`); `/4` added the
+/// `soft-*` protection/recovery configurations and a per-kernel count
+/// of runs per cell; `/3` added the dynamically partitioned 4-thread
+/// cells (`smt4-*-dyncap`) and the 2-thread fetch-policy cells
+/// (`smt2-use-based-{rr,ic28}`); `/4` added the
 /// dynamically way-partitioned 4-thread cells (`smt4-*-dynway`, at the
 /// 64x8 geometry so whole ways can move) and a per-kernel `thread_ipc`
 /// array on every co-scheduled cell (per-thread retired over cell
 /// cycles, from `SimResult::thread_retired`); `/5` added the optional
 /// per-config `profile` section (per-stage wall-nanoseconds and call
 /// counts summed over the config's kernels, present only when the run
-/// was made with `--profile` / `UBRC_PROFILE`).
-pub const SCHEMA: &str = "ubrc-bench-pipeline/5";
+/// was made with `--profile` / `UBRC_PROFILE`); `/6` dropped the
+/// per-kernel run count again (DESIGN.md §Performance says why).
+pub const SCHEMA: &str = "ubrc-bench-pipeline/6";
 
 fn cached(cache: RegCacheConfig, index: IndexPolicy) -> SimConfig {
     SimConfig::table1(RegStorage::Cached {
@@ -41,7 +42,7 @@ fn cached(cache: RegCacheConfig, index: IndexPolicy) -> SimConfig {
 
 /// The fixed configuration matrix the trajectory tracks: the paper's
 /// three caching schemes plus the monolithic register-file baselines.
-pub fn trajectory_configs() -> Vec<(&'static str, SimConfig)> {
+pub(crate) fn trajectory_configs() -> Vec<(&'static str, SimConfig)> {
     vec![
         (
             "rf-1",
@@ -92,7 +93,7 @@ pub fn trajectory_configs() -> Vec<(&'static str, SimConfig)> {
 /// numbers must match `use-based`) and once under each class of
 /// periodic recoverable fault (pinning the cost of the recovery
 /// machinery itself).
-pub fn soft_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
+pub(crate) fn soft_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
     let protected = |plan: Option<FaultPlan>| {
         let mut cache = RegCacheConfig::use_based(64, 2);
         cache.protection = ProtectionConfig::full();
@@ -123,7 +124,7 @@ pub fn soft_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
 /// one core, so its `ipc` columns are aggregate (two-thread) IPC. The
 /// `rr`/`ic28` cells pin the fetch-policy ablation (the default cells
 /// fetch with ICOUNT.1.8).
-pub fn smt_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
+pub(crate) fn smt_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
     let fetch = |mut cfg: SimConfig, policy: ubrc_sim::FetchPolicy| {
         cfg.fetch_policy = policy;
         cfg
@@ -157,7 +158,7 @@ pub fn smt_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
 /// occupancy-capped} register-cache matrix (64-entry 4-way geometry so
 /// the ways divide across the threads), so its `ipc` columns are
 /// aggregate (four-thread) IPC.
-pub fn smt4_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
+pub(crate) fn smt4_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
     let part = |mut cache: RegCacheConfig, p: CachePartition| {
         cache.partition = p;
         cache
@@ -271,29 +272,28 @@ pub struct TrajectoryOutcome {
 /// [`TrajectoryOutcome::failed`], while aggregate statistics cover the
 /// cells that completed.
 pub fn pipeline_trajectory(scale: Scale) -> TrajectoryOutcome {
-    let mut singles = trajectory_configs();
-    singles.extend(soft_trajectory_configs());
-    trajectory_over(
-        singles,
-        smt_trajectory_configs(),
-        smt4_trajectory_configs(),
-        scale,
-    )
-}
-
-/// How many hardware threads a trajectory cell co-schedules.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CellKind {
-    Single,
-    Pair,
-    Quad,
+    let matrices = [
+        (Cohort::Singles, trajectory_configs()),
+        (Cohort::Singles, soft_trajectory_configs()),
+        (Cohort::Pairs, smt_trajectory_configs()),
+        (Cohort::Quads, smt4_trajectory_configs()),
+    ];
+    let configs = matrices
+        .into_iter()
+        .flat_map(|(cohort, matrix)| {
+            matrix
+                .into_iter()
+                .map(move |(name, cfg)| (name, cfg, cohort))
+        })
+        .collect();
+    trajectory_over(configs, scale)
 }
 
 /// Sums the per-stage self-profiles of a config's successful kernels
 /// into one `profile` JSON section (stage order as the pipeline runs
 /// them). `None` when no kernel carried a profile — i.e. the run was
 /// made without `--profile` — so the section never appears empty.
-fn aggregate_profile(report: &crate::runner::SuiteReport) -> Option<Json> {
+fn aggregate_profile(report: &SuiteReport) -> Option<Json> {
     let mut stages: Vec<(&'static str, u64, u64)> = Vec::new();
     for cell in &report.runs {
         let Ok(r) = &cell.outcome else { continue };
@@ -327,36 +327,19 @@ fn aggregate_profile(report: &crate::runner::SuiteReport) -> Option<Json> {
     ]))
 }
 
+/// Runs each `(name, config, cohort)` entry's cohort under its config
+/// and builds the document, one `configs` entry per matrix entry.
 fn trajectory_over(
-    matrix: Vec<(&'static str, SimConfig)>,
-    smt_matrix: Vec<(&'static str, SimConfig)>,
-    smt4_matrix: Vec<(&'static str, SimConfig)>,
+    matrix: Vec<(&'static str, SimConfig, Cohort)>,
     scale: Scale,
 ) -> TrajectoryOutcome {
     let t_total = Instant::now();
     let mut configs = Vec::new();
     let mut total_insts: u64 = 0;
     let mut total_failed = 0usize;
-    let cells = matrix
-        .into_iter()
-        .map(|(name, cfg)| (name, cfg, CellKind::Single))
-        .chain(
-            smt_matrix
-                .into_iter()
-                .map(|(name, cfg)| (name, cfg, CellKind::Pair)),
-        )
-        .chain(
-            smt4_matrix
-                .into_iter()
-                .map(|(name, cfg)| (name, cfg, CellKind::Quad)),
-        );
-    for (name, cfg, kind) in cells {
+    for (name, cfg, cohort) in matrix {
         let t0 = Instant::now();
-        let report = match kind {
-            CellKind::Single => run_suite_robust(&cfg, scale),
-            CellKind::Pair => crate::runner::run_pair_suite_robust(&cfg, scale),
-            CellKind::Quad => crate::runner::run_quad_suite_robust(&cfg, scale),
-        };
+        let report = run_cells(&cohort.groups(scale), &cfg, RunOptions::from_env());
         let wall = t0.elapsed().as_secs_f64();
         let ok = report.successes();
         let failed = report.failed();
@@ -371,7 +354,7 @@ fn trajectory_over(
                     ("retired", Json::from(r.retired)),
                     ("ipc", Json::from(r.ipc())),
                 ];
-                if kind != CellKind::Single {
+                if cohort != Cohort::Singles {
                     fields.push((
                         "thread_ipc",
                         Json::arr(
@@ -381,7 +364,6 @@ fn trajectory_over(
                         ),
                     ));
                 }
-                fields.push(("attempts", Json::from(cell.attempts as u64)));
                 Json::obj(fields)
             }
             Err(e) => Json::obj([
@@ -393,7 +375,6 @@ fn trajectory_over(
                         ("message", Json::from(e.reason())),
                     ]),
                 ),
-                ("attempts", Json::from(cell.attempts as u64)),
             ]),
         }));
         let mut fields = vec![
@@ -454,7 +435,6 @@ mod tests {
             r#""name":"soft-protected""#,
             r#""name":"soft-cache-p200""#,
             r#""name":"soft-backing-p400""#,
-            r#""attempts":1"#,
             r#""name":"smt2-use-based""#,
             r#""name":"smt2-lru""#,
             r#""name":"smt2-use-based-rr""#,
@@ -481,7 +461,7 @@ mod tests {
 
     #[test]
     fn profile_section_aggregates_per_stage_samples() {
-        use crate::runner::{run_one_cell, RunOptions, SuiteReport};
+        use crate::runner::run_one_cell;
         let w = ubrc_workloads::workload_by_name("crc", Scale::Tiny).unwrap();
         let opts = RunOptions {
             profile: true,
@@ -523,8 +503,11 @@ mod tests {
         // count is surfaced for the binary's non-zero exit.
         let mut broken = SimConfig::paper_default();
         broken.phys_regs = 8;
-        let matrix = vec![("good", SimConfig::paper_default()), ("broken", broken)];
-        let out = trajectory_over(matrix, vec![], vec![], Scale::Tiny);
+        let matrix = vec![
+            ("good", SimConfig::paper_default(), Cohort::Singles),
+            ("broken", broken, Cohort::Singles),
+        ];
+        let out = trajectory_over(matrix, Scale::Tiny);
         assert_eq!(out.failed, 12);
         let s = out.doc.to_string();
         assert!(s.contains(r#""name":"good""#));

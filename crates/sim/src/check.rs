@@ -303,6 +303,14 @@ pub enum ConfigError {
         /// Minimum required (`arch_regs + 1`).
         required: usize,
     },
+    /// The register cache needs at least one way and one entry, and
+    /// its entries must divide evenly into its ways.
+    CacheGeometry {
+        /// Configured cache entries.
+        entries: usize,
+        /// Configured cache associativity.
+        ways: usize,
+    },
     /// [`ubrc_core::CachePartition::WayPartition`] needs the cache ways
     /// to divide evenly across threads.
     WayPartitionMismatch {
@@ -414,6 +422,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "two-level L1 of {l1_entries} entries cannot hold the architectural \
                  state; it needs at least {required} (arch regs + 1 rename target)"
+            ),
+            ConfigError::CacheGeometry { entries, ways } => write!(
+                f,
+                "register cache of {entries} entries x {ways} ways is invalid: both \
+                 must be at least 1 and entries must be a multiple of ways"
             ),
             ConfigError::WayPartitionMismatch { ways, nthreads } => write!(
                 f,

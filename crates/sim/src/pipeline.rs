@@ -134,6 +134,14 @@ impl Simulator {
                 arch_regs: narch,
             });
         }
+        if let RegStorage::Cached { cache, .. } = &config.storage {
+            if cache.ways == 0 || cache.entries == 0 || !cache.entries.is_multiple_of(cache.ways) {
+                return Err(ConfigError::CacheGeometry {
+                    entries: cache.entries,
+                    ways: cache.ways,
+                });
+            }
+        }
         match &config.storage {
             RegStorage::TwoLevel(tl) => {
                 if nthreads > 1 {

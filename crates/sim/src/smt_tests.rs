@@ -289,6 +289,24 @@ fn undersized_two_level_l1_is_rejected() {
 }
 
 #[test]
+fn invalid_cache_geometry_is_rejected() {
+    // Indivisible entries, zero ways and zero entries used to panic
+    // inside the cache constructors, even through `try_new`.
+    for (entries, ways) in [(64, 3), (64, 0), (0, 2)] {
+        let cfg = cached(RegCacheConfig::use_based(entries, ways));
+        let err = Simulator::try_new_smt(vec![program("crc")], cfg)
+            .err()
+            .expect("config must be rejected");
+        assert_eq!(err, ConfigError::CacheGeometry { entries, ways });
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("{entries} entries x {ways} ways")),
+            "{msg}"
+        );
+    }
+}
+
+#[test]
 fn way_partition_with_indivisible_ways_is_rejected() {
     let mut cache = RegCacheConfig::use_based(48, 3);
     cache.partition = CachePartition::WayPartition;

@@ -60,22 +60,31 @@ echo "== dynamic-way smoke: Tiny quads, DynamicWay + adaptive epochs, oracle on"
 cargo run --release -q -p ubrc-bench --bin experiments -- \
   dynway --scale tiny --check --timeout 300 >/dev/null
 
-echo "== throughput smoke: Tiny trajectory vs checked-in baseline (±30%)"
+echo "== throughput smoke: perfbench st-usebased vs checked-in baseline (±30%)"
 # Gross perf regressions (an accidental re-virtualization, a debug
-# assert in the hot loop) surface here without flaking on machine
-# noise: the tolerance is deliberately generous and single-threaded
-# runs keep the number comparable across runs.
-UBRC_BENCH_WORKERS=1 cargo run --release -q -p ubrc-bench --bin experiments -- \
-  --json /tmp/ubrc_tiny_smoke.json --scale tiny >/dev/null
-python3 - <<'PYEOF'
-import json, pathlib
-measured = json.load(open("/tmp/ubrc_tiny_smoke.json"))["total_sim_insts_per_sec"]
-baseline = float(pathlib.Path("scripts/tiny_throughput_baseline.txt").read_text())
+# assert in the hot loop) surface here. The number is the benchmark's
+# host-normalised simulated insts per CPU second (perfbench divides out
+# other tenants' slowdown with its reference computation), which holds
+# steady where wall-clock throughput swings by more than the tolerance.
+# perfbench is only run here, never edited; it exits non-zero on a
+# failed cell, and a run that reports "correct": false fails too.
+smoke_out=$(mktemp)
+trap 'rm -f "$smoke_out"' EXIT
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload st-usebased --seed 101 --seconds 5 --trace 0 >"$smoke_out"
+python3 - "$smoke_out" <<'PYEOF'
+import json, pathlib, sys
+report = json.loads(pathlib.Path(sys.argv[1]).read_text().strip().splitlines()[-1])
+if report.get("correct") is not True:
+    raise SystemExit(f"perfbench reported an incorrect run: {report}")
+measured = report["metrics"]["sim_insts_per_cpu_s"]["value"]
+baseline = float(pathlib.Path("scripts/throughput_baseline.txt").read_text())
 delta = 100.0 * (measured / baseline - 1.0)
-print(f"   tiny throughput: {measured:,.0f} insts/s vs baseline {baseline:,.0f} ({delta:+.1f}%)")
+print(f"   st-usebased: {measured:,.0f} insts/CPU-s vs baseline {baseline:,.0f} ({delta:+.1f}%)")
 if abs(delta) > 30.0:
-    raise SystemExit(f"throughput drifted {delta:+.1f}% from scripts/tiny_throughput_baseline.txt "
-                     "(tolerance ±30%); investigate or update the baseline with this machine's number")
+    raise SystemExit(f"throughput drifted {delta:+.1f}% from scripts/throughput_baseline.txt "
+                     "(tolerance ±30%); investigate or re-pin the baseline to the median of "
+                     "at least 5 runs on this machine")
 PYEOF
 
 echo "all checks passed"
